@@ -63,7 +63,7 @@ def figure5_with(one_phase: bool):
     env = cluster.env
     recorder = HistoryRecorder(env)
 
-    process = cluster.register(0, coordinator_pid=2).write_stripe_async(V1)
+    process = cluster.register(0, route=2).write_stripe_async(V1)
     recorder.track(process, OpKind.WRITE_STRIPE, value=V1, coordinator=2)
     env.run()
 
@@ -79,12 +79,12 @@ def figure5_with(one_phase: bool):
     env.run(until=env.now + 1.0)
     cluster.network.heal_partition()
 
-    read2 = cluster.register(0, coordinator_pid=3).read_stripe_async()
+    read2 = cluster.register(0, route=3).read_stripe_async()
     recorder.track(read2, OpKind.READ_STRIPE, coordinator=3)
     env.run()
 
     cluster.nodes[1].recover()
-    read3 = cluster.register(0, coordinator_pid=3).read_stripe_async()
+    read3 = cluster.register(0, route=3).read_stripe_async()
     recorder.track(read3, OpKind.READ_STRIPE, coordinator=3)
     env.run()
 

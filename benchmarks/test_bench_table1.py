@@ -44,7 +44,7 @@ def run_fast_paths():
 def run_slow_reads():
     """Partial write (coordinator crash), then stripe and block reads."""
     cluster = make_cluster(m=M, n=N, block_size=B)
-    seed_register = cluster.register(0, coordinator_pid=2)
+    seed_register = cluster.register(0, route=2)
     seed_register.write_stripe(stripe_of(M, B, tag=1))
     MessageCountTrigger(cluster.network, cluster.nodes[1], 4, WriteReq)
     coordinator = cluster.coordinators[1]

@@ -29,7 +29,7 @@ def our_protocol() -> None:
     env = cluster.env
     recorder = HistoryRecorder(env)
 
-    register = cluster.register(0, coordinator_pid=2)
+    register = cluster.register(0, route=2)
     process = register.write_stripe_async(V1)
     recorder.track(process, OpKind.WRITE_STRIPE, value=V1, coordinator=2)
     env.run()
@@ -48,7 +48,7 @@ def our_protocol() -> None:
     cluster.network.heal_partition()
     print("write2(v2): coordinator crashed mid-write (partial)")
 
-    read_process = cluster.register(0, coordinator_pid=3).read_stripe_async()
+    read_process = cluster.register(0, route=3).read_stripe_async()
     recorder.track(read_process, OpKind.READ_STRIPE, coordinator=3)
     env.run()
     print("read after crash:", read_process.value[0][:8], "(rolled back)")
@@ -56,7 +56,7 @@ def our_protocol() -> None:
     cluster.nodes[1].recover()
     print("brick 1 recovered (still holds v2 in its log)")
     for pid in (2, 3, 1):
-        read_process = cluster.register(0, coordinator_pid=pid).read_stripe_async()
+        read_process = cluster.register(0, route=pid).read_stripe_async()
         recorder.track(read_process, OpKind.READ_STRIPE, coordinator=pid)
         env.run()
         print(f"read via brick {pid}:", read_process.value[0][:8])
@@ -71,7 +71,7 @@ def ls97_baseline() -> None:
     print("\n=== LS97 replication baseline (no partial-write handling) ===")
     cluster = Ls97Cluster(Ls97Config(n=3, block_size=32))
     env = cluster.env
-    cluster.write(0, V1[0], coordinator_pid=2)
+    cluster.write(0, V1[0], route=2)
     print("write1(v1): OK")
 
     writer = cluster.coordinators[1]
@@ -84,9 +84,9 @@ def ls97_baseline() -> None:
     cluster.network.heal_partition()
     print("write2(v2): coordinator crashed mid-write (partial)")
 
-    print("read after crash:", cluster.read(0, coordinator_pid=3)[:8])
+    print("read after crash:", cluster.read(0, route=3)[:8])
     cluster.nodes[1].recover()
-    value = cluster.read(0, coordinator_pid=3)
+    value = cluster.read(0, route=3)
     print("read after recovery:", value[:8],
           "<-- the crashed write RESURFACED (Figure 5 anomaly)")
     assert value == V2[0]

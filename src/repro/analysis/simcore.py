@@ -124,7 +124,6 @@ def run_case(
         "registers": registers,
         "block_size": block_size,
         "gc_enabled": gc_enabled,
-        "erasure_backend": cluster.code.backend,
         "wall_s": elapsed,
         "ops_per_s": ops / elapsed if elapsed > 0 else float("inf"),
         "encode_mib_s": encode_mib_s,

@@ -61,10 +61,9 @@ class CampaignConfig:
 
     Attributes:
         m / n / f: cluster shape; ``f=None`` takes the Theorem 2 maximum.
-        code_kind / erasure_backend: stripe code and GF(2^8) kernel,
-            forwarded to the cluster — the campaign and its invariants
-            run unchanged over any registered code (the sharded LRC
-            campaign relies on this).
+        code_kind: stripe code, forwarded to the cluster — the campaign
+            and its invariants run unchanged over any registered code
+            (the sharded LRC campaign relies on this).
         allow_unsafe_f: permit ``f`` beyond the bound — the deliberately
             broken mode used to validate that the invariant checks fire.
         registers / clients / ops_per_client: workload shape; clients
@@ -108,7 +107,6 @@ class CampaignConfig:
     allow_unsafe_f: bool = False
     block_size: int = 32
     code_kind: str = "auto"
-    erasure_backend: str = "auto"
     seed: int = 0
     registers: int = 4
     clients: int = 3
@@ -353,7 +351,6 @@ class _Engine:
                 allow_unsafe_f=config.allow_unsafe_f,
                 block_size=config.block_size,
                 code_kind=config.code_kind,
-                erasure_backend=config.erasure_backend,
                 verify_checksums=config.verify_checksums,
                 seed=config.seed,
                 clock_skews=dict(schedule.clock_skews),

@@ -11,7 +11,7 @@ Regenerates the paper's artifacts without going through pytest::
                                                # scrub-daemon experiment
     python -m repro.cli pipeline               # pipelined session throughput
     python -m repro.cli simcore                # simulator-core events/sec profile
-    python -m repro.cli erasure-bench          # GF(2^8) kernel MiB/s per backend
+    python -m repro.cli erasure-bench          # GF(2^8) kernel vs reference MiB/s
     python -m repro.cli placement              # LRC vs RS rebuild cost
     python -m repro.cli campaign --seeds 25    # randomized fault campaign
 
@@ -272,7 +272,6 @@ def _erasure_bench(args: argparse.Namespace) -> int:
     results = run_bench(
         pairs=pairs,
         block_sizes=tuple(args.block_sizes),
-        backends=tuple(args.backends),
         budget_mib=args.budget_mib,
     )
     report = render_report(results)
@@ -288,16 +287,10 @@ def _erasure_bench(args: argparse.Namespace) -> int:
         print(f"report written to {path}")
     if args.min_speedup is not None:
         speedup = headline_speedup(results)
-        if speedup is None:
-            print(
-                f"headline cell {HEADLINE} not measured for both table "
-                "and masked backends; cannot check --min-speedup"
-            )
-            return 1
         ok = speedup >= args.min_speedup
         verdict = "OK" if ok else "FAIL"
         print(
-            f"headline encode speedup (table/masked at "
+            f"headline encode speedup (kernel/reference at "
             f"m={HEADLINE[0]}, n={HEADLINE[1]}, block={HEADLINE[2]}): "
             f"{speedup:.1f}x >= {args.min_speedup:g}x ... {verdict}"
         )
@@ -574,8 +567,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     erasure = subparsers.add_parser(
         "erasure-bench",
-        help="GF(2^8) erasure-kernel throughput per backend "
-             "(encode/decode/delta MiB/s)",
+        help="GF(2^8) erasure-kernel throughput against the GF256 "
+             "reference (encode/decode/delta MiB/s)",
     )
     erasure.add_argument(
         "--pairs", type=str, nargs="+", default=["2,4", "4,8", "8,16"],
@@ -586,18 +579,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="stripe-unit sizes in bytes",
     )
     erasure.add_argument(
-        "--backends", type=str, nargs="+",
-        default=["masked", "table", "bytes"],
-        help="kernel backends to compare (see repro.erasure.kernels)",
-    )
-    erasure.add_argument(
         "--budget-mib", type=float, default=8.0,
         help="approximate data volume per measurement in MiB",
     )
     erasure.add_argument(
         "--min-speedup", type=float, default=None,
-        help="exit 1 unless table beats masked by this factor on encode "
-             "at the headline cell (m=4, n=8, 64 KiB)",
+        help="exit 1 unless the kernel beats the reference by this factor "
+             "on encode at the headline cell (m=4, n=8, 64 KiB)",
     )
     erasure.add_argument(
         "--json", dest="json_out", type=str,

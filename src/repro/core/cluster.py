@@ -37,7 +37,7 @@ from .coordinator import Coordinator, CoordinatorConfig
 from .gc import GarbageCollector
 from .register import StorageRegister
 from .replica import Replica
-from .routing import RouteOptions, resolve_route
+from .routing import RouteLike, pinned_coordinator
 
 __all__ = ["ClusterConfig", "FabCluster"]
 
@@ -52,12 +52,6 @@ class ClusterConfig:
         f: tolerated faults; defaults to the maximum ``floor((n-m)/2)``.
         code_kind: erasure-code implementation (see
             :func:`repro.erasure.registry.make_code`).
-        erasure_backend: GF(2^8) kernel for the coding hot path —
-            ``"auto"`` (default: the table kernel when numpy is
-            available, else the pure-``bytes`` kernel), ``"table"``,
-            ``"masked"`` (the reference implementation), or
-            ``"bytes"``.  All backends are byte-identical; see
-            :mod:`repro.erasure.kernels`.
         network: network behaviour (latency, drops, ...).
         coordinator: protocol knobs (retransmission, grace, GC, ...).
         clock_skews: per-process clock skew in time units (index by
@@ -96,7 +90,6 @@ class ClusterConfig:
     block_size: int = 1024
     f: Optional[int] = None
     code_kind: str = "auto"
-    erasure_backend: str = "auto"
     network: NetworkConfig = field(default_factory=NetworkConfig)
     coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
     clock_skews: Dict[int, float] = field(default_factory=dict)
@@ -138,9 +131,7 @@ class FabCluster:
         self.transport = transport
         self.env = transport.env
         self.network = getattr(transport, "network", None)
-        self.code = make_code(
-            cfg.m, cfg.n, cfg.code_kind, backend=cfg.erasure_backend
-        )
+        self.code = make_code(cfg.m, cfg.n, cfg.code_kind)
         self.quorum_system = MajorityMQuorumSystem(
             cfg.n, cfg.m, cfg.f, enforce_bound=not cfg.allow_unsafe_f
         )
@@ -192,24 +183,16 @@ class FabCluster:
         return self.coordinators[pid]
 
     def register(
-        self,
-        register_id: int,
-        route=None,
-        *,
-        coordinator_pid: Optional[ProcessId] = None,
+        self, register_id: int, route: RouteLike = None
     ) -> StorageRegister:
         """A register handle for stripe ``register_id``.
 
         Any brick can coordinate; pass ``route=RouteOptions(
         coordinator=...)`` (or a bare pid) to exercise multi-controller
-        access to the same stripe.  Defaults to brick 1.  The keyword
-        ``coordinator_pid=`` is deprecated.
+        access to the same stripe.  Defaults to brick 1.
         """
-        resolved = resolve_route(
-            route, coordinator_pid, default=RouteOptions(coordinator=1)
-        )
-        pid = resolved.coordinator if resolved.coordinator is not None else 1
-        return StorageRegister(self.coordinators[pid], register_id)
+        coordinator = self.coordinators[pinned_coordinator(route)]
+        return StorageRegister(coordinator, register_id)
 
     def register_ids(self) -> list:
         """Ids of every register with state anywhere in the cluster.

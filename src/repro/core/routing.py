@@ -2,26 +2,27 @@
 
 FAB is fully decentralized — any brick can coordinate any operation
 (paper Section 1.1), and a multipathed client whose coordinator crashes
-simply reissues the request through another brick.  Historically every
-volume operation took an ad-hoc ``coordinator_pid=`` keyword; the
-:class:`RouteOptions` dataclass unifies that into a single ``route=``
-parameter carrying both the pinned coordinator (if any) and whether
-automatic failover is allowed.
-
-The legacy ``coordinator_pid=`` keywords still work but emit
-:class:`DeprecationWarning` via :func:`resolve_route`.
+simply reissues the request through another brick.  Every operation
+takes a single ``route=`` parameter: a :class:`RouteOptions` carrying
+both the pinned coordinator (if any) and whether automatic failover is
+allowed, or a bare process id as shorthand for a pinned coordinator.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..errors import ConfigurationError
 from ..types import ProcessId
 
-__all__ = ["RouteOptions", "DEFAULT_ROUTE", "resolve_route"]
+__all__ = [
+    "RouteOptions",
+    "RouteLike",
+    "DEFAULT_ROUTE",
+    "resolve_route",
+    "pinned_coordinator",
+]
 
 
 @dataclass(frozen=True)
@@ -50,35 +51,19 @@ class RouteOptions:
 #: The default route: no pinned coordinator, failover enabled.
 DEFAULT_ROUTE = RouteOptions()
 
+#: Either form a ``route=`` parameter accepts (or ``None``).
+RouteLike = Union[RouteOptions, ProcessId, None]
+
 
 def resolve_route(
-    route: Union[RouteOptions, ProcessId, None] = None,
-    coordinator_pid: Optional[ProcessId] = None,
-    default: Optional[RouteOptions] = None,
-    stacklevel: int = 3,
+    route: RouteLike = None, default: Optional[RouteOptions] = None
 ) -> RouteOptions:
-    """Normalize the (route, legacy coordinator_pid) pair to RouteOptions.
+    """Normalize a ``route=`` argument to :class:`RouteOptions`.
 
-    Accepts, in priority order:
-
-    * ``route=RouteOptions(...)`` — the modern form, returned as-is;
-    * ``route=<int>`` — shorthand for a pinned coordinator;
-    * ``coordinator_pid=<int>`` — the deprecated keyword; converted to a
-      pinned route and flagged with a :class:`DeprecationWarning`;
-    * neither — ``default`` (or :data:`DEFAULT_ROUTE`).
+    ``RouteOptions(...)`` is returned as-is, a bare ``int`` pins that
+    coordinator, and ``None`` yields ``default`` (or
+    :data:`DEFAULT_ROUTE`).
     """
-    if coordinator_pid is not None:
-        if route is not None:
-            raise ConfigurationError(
-                "pass either route= or coordinator_pid=, not both"
-            )
-        warnings.warn(
-            "coordinator_pid= is deprecated; use "
-            "route=RouteOptions(coordinator=...) instead",
-            DeprecationWarning,
-            stacklevel=stacklevel,
-        )
-        return RouteOptions(coordinator=coordinator_pid)
     if route is None:
         return default if default is not None else DEFAULT_ROUTE
     if isinstance(route, RouteOptions):
@@ -88,3 +73,9 @@ def resolve_route(
     raise ConfigurationError(
         f"route must be RouteOptions, a process id, or None; got {route!r}"
     )
+
+
+def pinned_coordinator(route: RouteLike, default: ProcessId = 1) -> ProcessId:
+    """The brick ``route`` pins, or ``default`` when it pins none."""
+    coordinator = resolve_route(route).coordinator
+    return default if coordinator is None else coordinator

@@ -18,8 +18,7 @@ Reads of never-written data return zeros, the standard disk semantics
 (the register's ``nil`` materializes as a zero block here).
 
 Coordinator selection takes a :class:`~repro.core.routing.RouteOptions`
-via ``route=`` on every operation (the legacy ``coordinator_pid=``
-keywords still work, with a :class:`DeprecationWarning`).  For
+(or a bare process id) via ``route=`` on every operation.  For
 pipelined access, :meth:`LogicalVolume.session` opens a
 :class:`~repro.core.session.VolumeSession` that keeps many operations
 in flight with retry and failover built in.
@@ -27,18 +26,15 @@ in flight with retry and failover built in.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 from ..errors import ConfigurationError, StorageError
 from ..sim.kernel import Interrupt
-from ..types import ABORT, Block, ProcessId
+from ..types import ABORT, Block
 from .cluster import FabCluster
-from .routing import RouteOptions, resolve_route
+from .routing import RouteLike, RouteOptions, pinned_coordinator, resolve_route
 
 __all__ = ["LogicalVolume"]
-
-#: Either form an operation's ``route=`` accepts.
-RouteLike = Union[RouteOptions, ProcessId, None]
 
 
 class LogicalVolume:
@@ -49,12 +45,11 @@ class LogicalVolume:
         num_stripes: stripes (registers) in the volume.
         base_register_id: register-id offset, letting several volumes
             share one cluster without colliding.
-        coordinator_pid: default coordinator brick; per-call override
-            supported on every operation via ``route=``.
         stripe_shuffle: map consecutive logical blocks to different
             stripes (reduces stripe-level conflicts).
-        route: default :class:`RouteOptions` for operations that do not
-            pass their own; supersedes ``coordinator_pid`` when given.
+        route: default route for operations that do not pass their own
+            (a :class:`RouteOptions` or a bare pid); its coordinator
+            defaults to brick 1.
     """
 
     def __init__(
@@ -62,23 +57,19 @@ class LogicalVolume:
         cluster: FabCluster,
         num_stripes: int,
         base_register_id: int = 0,
-        coordinator_pid: int = 1,
         stripe_shuffle: bool = True,
-        route: Optional[RouteOptions] = None,
+        route: RouteLike = None,
     ) -> None:
         if num_stripes < 1:
             raise ConfigurationError(f"num_stripes must be >= 1, got {num_stripes}")
         self.cluster = cluster
         self.num_stripes = num_stripes
         self.base_register_id = base_register_id
-        if route is None:
-            route = RouteOptions(coordinator=coordinator_pid)
-        elif route.coordinator is None:
-            route = RouteOptions(
-                coordinator=coordinator_pid, failover=route.failover
-            )
-        self.route = route
-        self.coordinator_pid = route.coordinator
+        resolved = resolve_route(route)
+        self.route = RouteOptions(
+            coordinator=pinned_coordinator(resolved),
+            failover=resolved.failover,
+        )
         self.stripe_shuffle = stripe_shuffle
         self.m = cluster.config.m
         self.block_size = cluster.config.block_size
@@ -126,13 +117,6 @@ class LogicalVolume:
             unit = logical_block % self.m
         return self.base_register_id + stripe, unit + 1
 
-    def _route(
-        self, route: RouteLike, coordinator_pid: Optional[int]
-    ) -> RouteOptions:
-        return resolve_route(
-            route, coordinator_pid, default=self.route, stacklevel=4
-        )
-
     def _execute(self, register_id: int, route: RouteOptions, run_op):
         """Run one register operation under ``route``'s failover rules.
 
@@ -150,10 +134,7 @@ class LogicalVolume:
             run_op: callable ``(StorageRegister) -> result`` performing
                 the blocking operation.
         """
-        preferred = (
-            route.coordinator if route.coordinator is not None
-            else self.coordinator_pid
-        )
+        preferred = pinned_coordinator(route, self.route.coordinator)
         if not route.failover:
             register = self.cluster.register(register_id, preferred)
             try:
@@ -188,19 +169,13 @@ class LogicalVolume:
 
     # -- block I/O ------------------------------------------------------------
 
-    def read(
-        self,
-        logical_block: int,
-        route: RouteLike = None,
-        *,
-        coordinator_pid: Optional[int] = None,
-    ):
+    def read(self, logical_block: int, route: RouteLike = None):
         """Read one logical block; zeros if never written; ABORT on conflict.
 
         Fails over to another brick if the coordinator crashes mid-read
         (unless ``route.failover`` is off).
         """
-        resolved = self._route(route, coordinator_pid)
+        resolved = resolve_route(route, self.route)
         register_id, unit = self.locate(logical_block)
         value = self._execute(
             register_id, resolved,
@@ -212,14 +187,7 @@ class LogicalVolume:
             return bytes(self.block_size)
         return value
 
-    def write(
-        self,
-        logical_block: int,
-        data: Block,
-        route: RouteLike = None,
-        *,
-        coordinator_pid: Optional[int] = None,
-    ):
+    def write(self, logical_block: int, data: Block, route: RouteLike = None):
         """Write one logical block; returns "OK" or ABORT.
 
         Fails over to another brick if the coordinator crashes mid-write
@@ -229,7 +197,7 @@ class LogicalVolume:
             raise ConfigurationError(
                 f"data must be exactly {self.block_size} bytes, got {len(data)}"
             )
-        resolved = self._route(route, coordinator_pid)
+        resolved = resolve_route(route, self.route)
         register_id, unit = self.locate(logical_block)
         return self._execute(
             register_id, resolved,
@@ -238,16 +206,9 @@ class LogicalVolume:
 
     # -- multi-block I/O ---------------------------------------------------------
 
-    def read_range(
-        self,
-        start_block: int,
-        count: int,
-        route: RouteLike = None,
-        *,
-        coordinator_pid: Optional[int] = None,
-    ):
+    def read_range(self, start_block: int, count: int, route: RouteLike = None):
         """Read ``count`` consecutive logical blocks; ABORT aborts the batch."""
-        resolved = self._route(route, coordinator_pid)
+        resolved = resolve_route(route, self.route)
         blocks: List[Block] = []
         for offset in range(count):
             value = self.read(start_block + offset, resolved)
@@ -261,11 +222,9 @@ class LogicalVolume:
         start_block: int,
         data_blocks: Sequence[Block],
         route: RouteLike = None,
-        *,
-        coordinator_pid: Optional[int] = None,
     ):
         """Write consecutive logical blocks; stops and returns ABORT on conflict."""
-        resolved = self._route(route, coordinator_pid)
+        resolved = resolve_route(route, self.route)
         for offset, data in enumerate(data_blocks):
             result = self.write(start_block + offset, data, resolved)
             if result is ABORT:
@@ -277,8 +236,6 @@ class LogicalVolume:
         stripe_index: int,
         stripe: Sequence[Block],
         route: RouteLike = None,
-        *,
-        coordinator_pid: Optional[int] = None,
     ):
         """Full-stripe write (the efficient path for large sequential I/O).
 
@@ -294,7 +251,7 @@ class LogicalVolume:
             raise ConfigurationError(
                 f"stripe must have m={self.m} blocks, got {len(stripe)}"
             )
-        resolved = self._route(route, coordinator_pid)
+        resolved = resolve_route(route, self.route)
         return self._execute(
             self.base_register_id + stripe_index,
             resolved,

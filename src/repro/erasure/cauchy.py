@@ -33,7 +33,7 @@ class CauchyReedSolomonCode(ReedSolomonCode):
     generator construction differs.
     """
 
-    def __init__(self, m: int, n: int, backend: str = "auto") -> None:
+    def __init__(self, m: int, n: int) -> None:
         # Skip ReedSolomonCode.__init__'s Vandermonde construction but
         # run the grandparent's validation.
         if n > GF256.ORDER:
@@ -43,7 +43,7 @@ class CauchyReedSolomonCode(ReedSolomonCode):
         k = n - m
         if k + m > GF256.ORDER:
             raise CodingError(f"Cauchy construction needs n <= 256, got {n}")
-        super(ReedSolomonCode, self).__init__(m, n, backend)
+        super(ReedSolomonCode, self).__init__(m, n)
         generator = np.zeros((n, m), dtype=np.uint8)
         generator[:m, :] = identity(m)
         if k:

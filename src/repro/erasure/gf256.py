@@ -7,9 +7,9 @@ field elements are exactly bytes.  We use the primitive polynomial
 implementations) and precompute log/antilog tables once per process.
 
 Addition in GF(2^8) is XOR.  Multiplication and division go through the
-log tables.  Vectorized variants operate on numpy ``uint8`` arrays so
-that encoding large blocks is table-lookup bound rather than Python-loop
-bound.
+log tables.  The vectorized variants on numpy ``uint8`` arrays (a
+boolean-mask log/antilog path) are the reference that the coders' block
+kernel, :mod:`repro.erasure.kernels`, is tested and benchmarked against.
 """
 
 from __future__ import annotations
@@ -46,21 +46,6 @@ def _build_tables():
 
 
 _EXP, _LOG = _build_tables()
-
-#: Lazily built full 256x256 multiplication table (64 KiB) shared by
-#: the table kernel and any caller that wants gather-based products.
-_MUL_TABLE = None
-
-
-def _mul_table() -> np.ndarray:
-    """The full multiplication table ``T[a, b] = a * b`` (built once)."""
-    global _MUL_TABLE
-    if _MUL_TABLE is None:
-        table = _EXP[_LOG[:, None] + _LOG[None, :]]
-        table[0, :] = 0  # _LOG[0] is a placeholder; zero annihilates
-        table[:, 0] = 0
-        _MUL_TABLE = np.ascontiguousarray(table)
-    return _MUL_TABLE
 
 
 class GF256:
@@ -181,16 +166,6 @@ class GF256:
             for c in range(cols):
                 GF256.addmul_bytes(accum, int(row[c]), data[c])
         return out
-
-    @staticmethod
-    def mul_table() -> np.ndarray:
-        """The full 256x256 multiplication table ``T[a, b] = a * b``.
-
-        64 KiB, built on first use and shared process-wide.  This is
-        what turns ``scalar * vec`` into a single gather (see
-        :class:`repro.erasure.kernels.TableKernel`).
-        """
-        return _mul_table()
 
     @staticmethod
     def elements() -> List[int]:

@@ -1,379 +1,93 @@
-"""Pluggable bulk-arithmetic kernels for GF(2^8) erasure coding.
+"""The GF(2^8) block kernel: the bulk arithmetic of every erasure coder.
 
-The coding hot path — ``parity = G . data`` on encode, ``data =
-G_sub^-1 . survivors`` on decode, ``parity ^= g * delta`` on modify —
-is a handful of field operations applied to every byte of a block.
-How those per-byte operations execute dominates end-to-end coding
-throughput, so this module factors them into swappable *kernels*:
+Encode (``parity = G . data``), decode (``data = G_sub^-1 . survivors``)
+and modify (``parity ^= g * delta``) apply a few field operations to
+every byte of a block.  Two primitives carry all of it:
 
-* ``"table"`` (default with numpy): a precomputed 64 KiB full
-  multiplication table turns ``scalar * vec`` into a single ``np.take``
-  gather, so the matrix product is one gather plus one in-place XOR per
-  (row, coefficient) pair — no masks, no boolean intermediates, zero
-  Python inner loops over payload bytes.
-* ``"masked"``: the original log/antilog implementation in
-  :class:`~repro.erasure.gf256.GF256` (boolean-mask fancy indexing).
-  Kept as the bit-for-bit reference the faster kernels are tested
-  against.
-* ``"bytes"``: a pure-Python fallback for numpy-free environments:
-  per-scalar 256-byte translation tables drive ``bytes.translate`` and
-  block-wide XOR runs through arbitrary-precision integers, so even
-  without numpy the per-byte work happens in C.
+* scalar x block is ``bytes.translate`` through the 256-byte product
+  table of that scalar, built once from :mod:`~repro.erasure.gf256`'s
+  exp/log tables;
+* block + block (field addition) is numpy ``uint8`` ``bitwise_xor``.
 
-Every kernel operates on ``bytes`` blocks at its interface so the three
-are drop-in interchangeable; coders hold a kernel instance and never
-touch numpy arrays for payload data themselves.  Select a kernel via
-:func:`get_kernel` (or the ``backend=`` parameter of
-:func:`repro.erasure.registry.make_code` /
-``ClusterConfig(erasure_backend=...)``).
+Blocks are ``bytes`` in and out; coefficient matrices are any nested
+sequence of ints (numpy arrays included).  The masked log/antilog path
+of :class:`~repro.erasure.gf256.GF256` is the reference this kernel is
+tested against.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Dict, List, Optional, Sequence, Type
+from typing import List, Sequence
 
-from ..errors import CodingError, ConfigurationError
+import numpy as np
+
+from ..errors import CodingError
 from ..types import Block
+from .gf256 import _EXP, _LOG
 
-try:  # The table/masked kernels need numpy; the bytes kernel must not.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    np = None
-
-__all__ = [
-    "Kernel",
-    "TableKernel",
-    "MaskedKernel",
-    "BytesKernel",
-    "available_kernels",
-    "get_kernel",
-    "register_kernel",
-]
-
-_PRIMITIVE_POLY = 0x11D
-_GROUP_ORDER = 255
+__all__ = ["matmul", "addmul", "xor", "xor_all"]
 
 
-def _build_scalar_tables():
-    """Pure-Python exp/log tables (no numpy — the bytes kernel's base)."""
-    exp = [0] * (2 * _GROUP_ORDER)
-    log = [0] * 256
-    value = 1
-    for power in range(_GROUP_ORDER):
-        exp[power] = value
-        log[value] = power
-        value <<= 1
-        if value & 0x100:
-            value ^= _PRIMITIVE_POLY
-    exp[_GROUP_ORDER:] = exp[:_GROUP_ORDER]
-    return exp, log
+def _product_tables() -> List[bytes]:
+    """``tables[s][x] == s * x`` for every field element ``s`` (64 KiB)."""
+    table = _EXP[_LOG[:, None] + _LOG[None, :]]
+    table[0, :] = 0  # _LOG[0] is a placeholder; zero annihilates
+    table[:, 0] = 0
+    return [row.tobytes() for row in table]
 
 
-_EXP, _LOG = _build_scalar_tables()
+_TABLES = _product_tables()
 
 
-def _scalar_mul(a: int, b: int) -> int:
-    if a == 0 or b == 0:
-        return 0
-    return _EXP[_LOG[a] + _LOG[b]]
+def _scale(scalar: int, block: bytes) -> bytes:
+    return block if scalar == 1 else block.translate(_TABLES[scalar])
 
 
-class Kernel(abc.ABC):
-    """Bulk GF(2^8) operations on byte blocks.
-
-    All methods take and return ``bytes``; implementations choose their
-    own internal representation.  ``coeffs`` arguments are small
-    coefficient matrices (any nested sequence of ints, including numpy
-    arrays) — tiny compared to the blocks, so per-element access cost
-    does not matter.
-    """
-
-    #: Registry name; subclasses override.
-    name = "abstract"
-
-    @abc.abstractmethod
-    def matmul(
-        self, coeffs: Sequence[Sequence[int]], blocks: Sequence[Block]
-    ) -> List[bytes]:
-        """``coeffs (rows x cols)`` times the column of ``cols`` blocks."""
-
-    @abc.abstractmethod
-    def scale(self, scalar: int, data: Block) -> bytes:
-        """``scalar * data`` over every byte."""
-
-    @abc.abstractmethod
-    def addmul(self, accum: Block, scalar: int, data: Block) -> bytes:
-        """``accum ^ scalar * data`` — the GEMM kernel of RS coding."""
-
-    @abc.abstractmethod
-    def xor_all(self, blocks: Sequence[Block]) -> bytes:
-        """XOR of one or more equal-length blocks."""
-
-    def xor(self, a: Block, b: Block) -> bytes:
-        """``a ^ b`` (field addition) of two blocks."""
-        return self.xor_all((a, b))
-
-    def _check_blocks(self, coeffs, blocks) -> int:
-        rows = len(coeffs)
-        if rows == 0:
-            # Zero output rows (e.g. a parity-free code): nothing to
-            # multiply, any number of input blocks is acceptable.
-            return 0
-        cols = len(coeffs[0])
-        if len(blocks) != cols:
-            raise CodingError(
-                f"matmul dimension mismatch: matrix cols={cols}, "
-                f"data rows={len(blocks)}"
-            )
-        return rows
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(name={self.name!r})"
+def _fold(blocks: Sequence[Block], width: int) -> bytes:
+    """XOR of ``blocks``; ``width`` zero bytes when there are none."""
+    if not blocks:
+        return bytes(width)
+    if len(blocks) == 1:
+        return bytes(blocks[0])
+    arrays = [np.frombuffer(block, dtype=np.uint8) for block in blocks]
+    accum = np.bitwise_xor(arrays[0], arrays[1])
+    for array in arrays[2:]:
+        np.bitwise_xor(accum, array, out=accum)
+    return accum.tobytes()
 
 
-class TableKernel(Kernel):
-    """Full 64 KiB multiplication table + ``np.take`` gathers (numpy).
-
-    ``_MUL[a, b] = a * b`` for all 65536 operand pairs, so
-    ``scalar * vec`` is a single ``np.take`` through the 256-byte row
-    ``_MUL[scalar]`` — no boolean masks, no log/antilog arithmetic, no
-    allocation beyond one reused scratch row.  ``matmul`` runs one
-    gather + one in-place XOR per (row, coefficient) pair, writing the
-    first product of each output row straight into the output to skip
-    the zero-fill, and skipping zero coefficients entirely.
-    """
-
-    name = "table"
-
-    def __init__(self) -> None:
-        if np is None:
-            raise ConfigurationError(
-                "the 'table' kernel requires numpy; use backend='bytes'"
-            )
-        from .gf256 import GF256
-
-        self._mul = GF256.mul_table()
-
-    def matmul(self, coeffs, blocks) -> List[bytes]:
-        rows = self._check_blocks(coeffs, blocks)
-        if rows == 0:
-            return []
-        matrix = np.asarray(coeffs, dtype=np.uint8)
-        width = len(blocks[0])
-        data = np.frombuffer(
-            b"".join(bytes(block) for block in blocks), dtype=np.uint8
-        ).reshape(len(blocks), width)
-        mul = self._mul
-        out = np.empty((rows, width), dtype=np.uint8)
-        scratch = np.empty(width, dtype=np.uint8)
-        for r in range(rows):
-            accum = out[r]
-            fresh = True  # accum not yet written this row
-            for c in range(matrix.shape[1]):
-                scalar = matrix[r, c]
-                if scalar == 0:
-                    continue
-                if fresh:
-                    if scalar == 1:
-                        accum[:] = data[c]
-                    else:
-                        np.take(mul[scalar], data[c], out=accum)
-                    fresh = False
-                elif scalar == 1:
-                    np.bitwise_xor(accum, data[c], out=accum)
-                else:
-                    np.take(mul[scalar], data[c], out=scratch)
-                    np.bitwise_xor(accum, scratch, out=accum)
-            if fresh:
-                accum.fill(0)
-        return [out[r].tobytes() for r in range(rows)]
-
-    def scale(self, scalar: int, data: Block) -> bytes:
-        arr = np.frombuffer(bytes(data), dtype=np.uint8)
-        if scalar == 0:
-            return bytes(len(arr))
-        if scalar == 1:
-            return arr.tobytes()
-        return np.take(self._mul[scalar], arr).tobytes()
-
-    def addmul(self, accum: Block, scalar: int, data: Block) -> bytes:
-        if scalar == 0:
-            return bytes(accum)
-        accum_arr = np.frombuffer(bytes(accum), dtype=np.uint8)
-        data_arr = np.frombuffer(bytes(data), dtype=np.uint8)
-        if scalar == 1:
-            return np.bitwise_xor(accum_arr, data_arr).tobytes()
-        product = np.take(self._mul[scalar], data_arr)
-        np.bitwise_xor(product, accum_arr, out=product)
-        return product.tobytes()
-
-    def xor_all(self, blocks) -> bytes:
-        arrays = [np.frombuffer(bytes(b), dtype=np.uint8) for b in blocks]
-        if len(arrays) == 1:
-            return arrays[0].tobytes()
-        accum = np.bitwise_xor(arrays[0], arrays[1])
-        for array in arrays[2:]:
-            np.bitwise_xor(accum, array, out=accum)
-        return accum.tobytes()
-
-
-class MaskedKernel(Kernel):
-    """The reference kernel: GF256's boolean-mask log/antilog path."""
-
-    name = "masked"
-
-    def __init__(self) -> None:
-        if np is None:
-            raise ConfigurationError(
-                "the 'masked' kernel requires numpy; use backend='bytes'"
-            )
-        from .gf256 import GF256
-
-        self._gf = GF256
-
-    def matmul(self, coeffs, blocks) -> List[bytes]:
-        rows = self._check_blocks(coeffs, blocks)
-        if rows == 0:
-            return []
-        matrix = np.asarray(coeffs, dtype=np.uint8)
-        width = len(blocks[0])
-        data = np.frombuffer(
-            b"".join(bytes(block) for block in blocks), dtype=np.uint8
-        ).reshape(len(blocks), width)
-        out = self._gf.matmul(matrix, data)
-        return [out[r].tobytes() for r in range(rows)]
-
-    def scale(self, scalar: int, data: Block) -> bytes:
-        arr = np.frombuffer(bytes(data), dtype=np.uint8)
-        return self._gf.mul_bytes(scalar, arr).tobytes()
-
-    def addmul(self, accum: Block, scalar: int, data: Block) -> bytes:
-        accum_arr = np.frombuffer(bytes(accum), dtype=np.uint8).copy()
-        data_arr = np.frombuffer(bytes(data), dtype=np.uint8)
-        self._gf.addmul_bytes(accum_arr, scalar, data_arr)
-        return accum_arr.tobytes()
-
-    def xor_all(self, blocks) -> bytes:
-        arrays = [np.frombuffer(bytes(b), dtype=np.uint8) for b in blocks]
-        accum = arrays[0].copy()
-        for array in arrays[1:]:
-            np.bitwise_xor(accum, array, out=accum)
-        return accum.tobytes()
-
-
-class BytesKernel(Kernel):
-    """Pure-``bytes`` kernel: translate tables + big-int bulk XOR.
-
-    ``scalar * block`` is ``block.translate(table)`` with a per-scalar
-    256-byte table (built lazily, 64 KiB total when warm); block-wide
-    XOR converts blocks to arbitrary-precision ints once per matmul row
-    so the fold runs in C.  No numpy anywhere.
-    """
-
-    name = "bytes"
-
-    #: Class-level lazy per-scalar translation tables.
-    _TABLES: List[Optional[bytes]] = [None] * 256
-
-    def _table(self, scalar: int) -> bytes:
-        table = BytesKernel._TABLES[scalar]
-        if table is None:
-            table = bytes(_scalar_mul(scalar, x) for x in range(256))
-            BytesKernel._TABLES[scalar] = table
-        return table
-
-    def matmul(self, coeffs, blocks) -> List[bytes]:
-        rows = self._check_blocks(coeffs, blocks)
-        if rows == 0:
-            return []
-        width = len(blocks[0])
-        raw = [bytes(block) for block in blocks]
-        # One int conversion per input block, shared across all rows.
-        as_int = [int.from_bytes(block, "little") for block in raw]
-        out = []
-        for row in coeffs:
-            accum = 0
-            for c, scalar in enumerate(row):
-                scalar = int(scalar)
-                if scalar == 0:
-                    continue
-                if scalar == 1:
-                    accum ^= as_int[c]
-                else:
-                    product = raw[c].translate(self._table(scalar))
-                    accum ^= int.from_bytes(product, "little")
-            out.append(accum.to_bytes(width, "little"))
-        return out
-
-    def scale(self, scalar: int, data: Block) -> bytes:
-        data = bytes(data)
-        if scalar == 0:
-            return bytes(len(data))
-        if scalar == 1:
-            return data
-        return data.translate(self._table(scalar))
-
-    def addmul(self, accum: Block, scalar: int, data: Block) -> bytes:
-        accum = bytes(accum)
-        if scalar == 0:
-            return accum
-        product = self.scale(scalar, data)
-        folded = int.from_bytes(accum, "little") ^ int.from_bytes(
-            product, "little"
+def matmul(coeffs: Sequence[Sequence[int]], blocks: Sequence[Block]) -> List[bytes]:
+    """``coeffs (rows x cols)`` times the column of ``cols`` blocks."""
+    rows = np.asarray(coeffs, dtype=np.uint8).tolist()
+    if not rows:
+        # Zero output rows (e.g. a parity-free code): nothing to
+        # multiply, any number of input blocks is acceptable.
+        return []
+    if len(blocks) != len(rows[0]):
+        raise CodingError(
+            f"matmul dimension mismatch: matrix cols={len(rows[0])}, "
+            f"data rows={len(blocks)}"
         )
-        return folded.to_bytes(len(accum), "little")
-
-    def xor_all(self, blocks) -> bytes:
-        raw = [bytes(block) for block in blocks]
-        width = len(raw[0])
-        accum = 0
-        for block in raw:
-            accum ^= int.from_bytes(block, "little")
-        return accum.to_bytes(width, "little")
+    raw = [bytes(block) for block in blocks]
+    width = len(raw[0]) if raw else 0
+    return [
+        _fold([_scale(s, block) for s, block in zip(row, raw) if s], width)
+        for row in rows
+    ]
 
 
-_KERNELS: Dict[str, Type[Kernel]] = {
-    TableKernel.name: TableKernel,
-    MaskedKernel.name: MaskedKernel,
-    BytesKernel.name: BytesKernel,
-}
-
-_INSTANCES: Dict[str, Kernel] = {}
+def addmul(accum: Block, scalar: int, data: Block) -> bytes:
+    """``accum ^ scalar * data`` — the one-coefficient update of modify."""
+    if scalar == 0:
+        return bytes(accum)
+    return _fold((accum, _scale(scalar, bytes(data))), len(accum))
 
 
-def register_kernel(name: str, cls: Type[Kernel]) -> None:
-    """Register a custom kernel implementation under ``name``."""
-    if not issubclass(cls, Kernel):
-        raise ConfigurationError(f"{cls!r} is not a Kernel subclass")
-    _KERNELS[name] = cls
-    _INSTANCES.pop(name, None)
+def xor(a: Block, b: Block) -> bytes:
+    """``a ^ b`` (field addition) of two equal-length blocks."""
+    return _fold((a, b), len(a))
 
 
-def available_kernels() -> List[str]:
-    """Names accepted by :func:`get_kernel`, plus ``"auto"``."""
-    return sorted(_KERNELS) + ["auto"]
-
-
-def get_kernel(name: str = "auto") -> Kernel:
-    """Resolve a kernel by name (instances are shared — kernels are
-    stateless beyond their tables).
-
-    ``"auto"`` picks ``"table"`` when numpy is importable and
-    ``"bytes"`` otherwise.
-    """
-    if name == "auto":
-        name = "table" if np is not None else "bytes"
-    instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    try:
-        cls = _KERNELS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown erasure backend {name!r}; available: "
-            f"{available_kernels()}"
-        ) from None
-    instance = cls()
-    _INSTANCES[name] = instance
-    return instance
+def xor_all(blocks: Sequence[Block]) -> bytes:
+    """XOR of one or more equal-length blocks."""
+    return _fold(blocks, 0)

@@ -12,21 +12,17 @@ from typing import Dict, List, Sequence
 
 from ..errors import CodingError
 from ..types import Block
+from . import kernels
 from .interface import ErasureCode
 
 __all__ = ["SingleParityCode"]
 
 
 class SingleParityCode(ErasureCode):
-    """XOR parity code with ``n = m + 1`` (RAID-5 within a stripe).
+    """XOR parity code with ``n = m + 1`` (RAID-5 within a stripe)."""
 
-    Bulk XOR runs through the kernel layer, so the parity code follows
-    the same ``backend=`` knob as the field codes (and stays functional
-    without numpy under the ``"bytes"`` kernel).
-    """
-
-    def __init__(self, m: int, n: int, backend: str = "auto") -> None:
-        super().__init__(m, n, backend)
+    def __init__(self, m: int, n: int) -> None:
+        super().__init__(m, n)
         if n != m + 1:
             raise CodingError(
                 f"SingleParityCode requires n = m + 1, got m={m} n={n}"
@@ -35,7 +31,7 @@ class SingleParityCode(ErasureCode):
     def encode(self, data_blocks: Sequence[Block]) -> List[Block]:
         self._check_encode_args(data_blocks)
         encoded = [bytes(block) for block in data_blocks]
-        encoded.append(self._kernel.xor_all(data_blocks))
+        encoded.append(kernels.xor_all(data_blocks))
         return encoded
 
     def decode(self, blocks: Dict[int, Block]) -> List[Block]:
@@ -57,7 +53,7 @@ class SingleParityCode(ErasureCode):
         missing_index = missing.pop()
         survivors = [blocks[i] for i in sorted(data_indices - {missing_index})]
         survivors.append(blocks[self.n])
-        reconstructed = self._kernel.xor_all(survivors)
+        reconstructed = kernels.xor_all(survivors)
         data = []
         for i in range(1, self.m + 1):
             data.append(reconstructed if i == missing_index else bytes(blocks[i]))
@@ -67,4 +63,4 @@ class SingleParityCode(ErasureCode):
         self, i: int, j: int, old_data: Block, new_data: Block, old_parity: Block
     ) -> Block:
         self._check_modify_args(i, j, old_data, new_data, old_parity)
-        return self._kernel.xor_all([old_data, new_data, old_parity])
+        return kernels.xor_all([old_data, new_data, old_parity])

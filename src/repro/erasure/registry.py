@@ -18,7 +18,7 @@ from .parity import SingleParityCode
 from .reed_solomon import ReedSolomonCode
 from .replication import ReplicationCode
 
-__all__ = ["make_code", "available_codes", "register_code"]
+__all__ = ["make_code", "available_codes"]
 
 _REGISTRY: Dict[str, Type[ErasureCode]] = {
     "reed-solomon": ReedSolomonCode,
@@ -29,21 +29,12 @@ _REGISTRY: Dict[str, Type[ErasureCode]] = {
 }
 
 
-def register_code(name: str, cls: Type[ErasureCode]) -> None:
-    """Register a custom erasure-code implementation under ``name``."""
-    if not issubclass(cls, ErasureCode):
-        raise ConfigurationError(f"{cls!r} is not an ErasureCode subclass")
-    _REGISTRY[name] = cls
-
-
 def available_codes() -> List[str]:
     """Names accepted by :func:`make_code`, plus ``"auto"``."""
     return sorted(_REGISTRY) + ["auto"]
 
 
-def make_code(
-    m: int, n: int, kind: str = "auto", backend: str = "auto"
-) -> ErasureCode:
+def make_code(m: int, n: int, kind: str = "auto") -> ErasureCode:
     """Construct an m-out-of-n erasure code.
 
     Args:
@@ -52,25 +43,20 @@ def make_code(
         kind: one of :func:`available_codes`.  With ``"auto"`` the
             factory picks replication for ``m == 1``, XOR parity for
             ``n == m + 1``, and Reed-Solomon otherwise.
-        backend: GF(2^8) kernel backend for the block-arithmetic hot
-            path — one of
-            :func:`repro.erasure.kernels.available_kernels`
-            (``"auto"``/``"table"``/``"masked"``/``"bytes"``).  Every
-            backend produces byte-identical blocks.
 
     Raises:
-        ConfigurationError: on an unknown ``kind`` or ``backend``.
+        ConfigurationError: on an unknown ``kind``.
     """
     if kind == "auto":
         if m == 1:
-            return ReplicationCode(m, n, backend)
+            return ReplicationCode(m, n)
         if n == m + 1:
-            return SingleParityCode(m, n, backend)
-        return ReedSolomonCode(m, n, backend)
+            return SingleParityCode(m, n)
+        return ReedSolomonCode(m, n)
     try:
         cls = _REGISTRY[kind]
     except KeyError:
         raise ConfigurationError(
             f"unknown code kind {kind!r}; available: {available_codes()}"
         ) from None
-    return cls(m, n, backend)
+    return cls(m, n)

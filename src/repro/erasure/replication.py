@@ -23,8 +23,8 @@ __all__ = ["ReplicationCode"]
 class ReplicationCode(ErasureCode):
     """n-way replication: every output block is a copy of the datum."""
 
-    def __init__(self, m: int, n: int, backend: str = "auto") -> None:
-        super().__init__(m, n, backend)
+    def __init__(self, m: int, n: int) -> None:
+        super().__init__(m, n)
         if m != 1:
             raise CodingError(f"ReplicationCode requires m = 1, got m={m}")
 

@@ -1,9 +1,9 @@
-"""RouteOptions / resolve_route and the deprecated coordinator_pid shims."""
+"""RouteOptions / resolve_route: the one way to pick a coordinator."""
 
 import pytest
 
 from repro import LogicalVolume, RouteOptions
-from repro.core.routing import DEFAULT_ROUTE, resolve_route
+from repro.core.routing import DEFAULT_ROUTE, pinned_coordinator, resolve_route
 from repro.errors import ConfigurationError, StorageError
 from tests.conftest import block_of, make_cluster
 
@@ -27,12 +27,11 @@ def test_resolve_route_forms():
         resolve_route("brick-3")
 
 
-def test_resolve_route_deprecated_keyword_warns():
-    with pytest.deprecated_call():
-        resolved = resolve_route(coordinator_pid=3)
-    assert resolved == RouteOptions(coordinator=3)
-    with pytest.raises(ConfigurationError, match="not both"):
-        resolve_route(RouteOptions(coordinator=2), coordinator_pid=3)
+def test_pinned_coordinator_falls_back_to_default():
+    assert pinned_coordinator(None) == 1
+    assert pinned_coordinator(3) == 3
+    assert pinned_coordinator(RouteOptions(coordinator=2)) == 2
+    assert pinned_coordinator(RouteOptions(failover=False), default=4) == 4
 
 
 def test_volume_ops_accept_route(cluster):
@@ -43,63 +42,26 @@ def test_volume_ops_accept_route(cluster):
     assert volume.read(0, RouteOptions(coordinator=4)) == data
 
 
-def test_volume_ops_deprecated_coordinator_pid_still_works(cluster):
-    volume = LogicalVolume(cluster, num_stripes=4)
-    data = block_of(32, 2)
-    with pytest.deprecated_call():
-        assert volume.write(0, data, coordinator_pid=2) == "OK"
-    with pytest.deprecated_call():
-        assert volume.read(0, coordinator_pid=3) == data
-    with pytest.deprecated_call():
-        assert volume.read_range(0, 2, coordinator_pid=2)[0] == data
-    with pytest.deprecated_call():
-        assert volume.write_range(0, [data], coordinator_pid=4) == "OK"
-    with pytest.deprecated_call():
-        stripe = [block_of(32, 9)] * 3
-        assert volume.write_stripe_aligned(0, stripe, coordinator_pid=2) == "OK"
-
-
 def test_volume_default_route_from_constructor(cluster):
     volume = LogicalVolume(
         cluster, num_stripes=4, route=RouteOptions(coordinator=3)
     )
-    assert volume.coordinator_pid == 3
+    assert volume.route == RouteOptions(coordinator=3)
     assert volume.write(0, block_of(32, 3)) == "OK"
+    assert LogicalVolume(cluster, num_stripes=4, route=2).route == RouteOptions(
+        coordinator=2
+    )
+    unpinned = LogicalVolume(
+        cluster, num_stripes=4, route=RouteOptions(failover=False)
+    )
+    assert unpinned.route == RouteOptions(coordinator=1, failover=False)
 
 
 def test_cluster_register_accepts_route(cluster):
     register = cluster.register(0, route=RouteOptions(coordinator=4))
     assert register.coordinator is cluster.coordinator(4)
-    with pytest.deprecated_call():
-        register = cluster.register(0, coordinator_pid=2)
+    register = cluster.register(0, route=2)
     assert register.coordinator is cluster.coordinator(2)
-
-
-def test_resolve_route_warning_names_the_replacement():
-    with pytest.warns(DeprecationWarning, match="use route=RouteOptions"):
-        resolve_route(coordinator_pid=2)
-
-
-def test_legacy_pid_resolves_like_route_options(cluster):
-    """The shim must route identically to the RouteOptions equivalent."""
-    from repro.core.rebuild import Rebuilder
-
-    modern = Rebuilder(cluster, route=RouteOptions(coordinator=2))
-    with pytest.deprecated_call():
-        legacy = Rebuilder(cluster, coordinator_pid=2)
-    assert legacy.route == modern.route
-    assert legacy.coordinator_pid == modern.coordinator_pid == 2
-
-    via_options = cluster.register(0, route=RouteOptions(coordinator=3))
-    with pytest.deprecated_call():
-        via_pid = cluster.register(0, coordinator_pid=3)
-    assert via_pid.coordinator is via_options.coordinator
-
-
-def test_volume_rejects_both_route_and_coordinator_pid(cluster):
-    volume = LogicalVolume(cluster, num_stripes=4)
-    with pytest.raises(ConfigurationError, match="not both"):
-        volume.read(0, route=2, coordinator_pid=3)
 
 
 def test_failover_disabled_surfaces_crash_on_sync_ops():

@@ -12,7 +12,7 @@ from tests.conftest import block_of, make_cluster, stripe_of
 class TestFailover:
     def test_read_fails_over_when_coordinator_dies_midway(self):
         cluster = make_cluster(m=3, n=5)
-        volume = LogicalVolume(cluster, num_stripes=2, coordinator_pid=1)
+        volume = LogicalVolume(cluster, num_stripes=2, route=1)
         data = block_of(32, tag=1)
         volume.write(0, data)
         # Crash coordinator 1 after its next Order&Read fan-out begins.
@@ -26,7 +26,7 @@ class TestFailover:
 
     def test_preferred_coordinator_down_uses_first_live(self):
         cluster = make_cluster(m=3, n=5)
-        volume = LogicalVolume(cluster, num_stripes=2, coordinator_pid=1)
+        volume = LogicalVolume(cluster, num_stripes=2, route=1)
         cluster.crash(1)
         data = block_of(32, tag=3)
         assert volume.write(0, data) == "OK"
@@ -42,7 +42,7 @@ class TestFailover:
         """The first coordinator's partial write and the retried write
         must not leave mixed state visible."""
         cluster = make_cluster(m=3, n=5)
-        volume = LogicalVolume(cluster, num_stripes=1, coordinator_pid=1)
+        volume = LogicalVolume(cluster, num_stripes=1, route=1)
         original = block_of(32, tag=5)
         volume.write(0, original)
         MessageCountTrigger(cluster.network, cluster.nodes[1], 2, WriteReq)

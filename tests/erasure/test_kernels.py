@@ -1,31 +1,26 @@
-"""GF(2^8) kernel backends: registry, primitives, cross-backend identity.
+"""The GF(2^8) block kernel against the GF256 reference.
 
-The kernels are only allowed to differ in speed — every backend must be
-bit-for-bit identical to the masked reference on every operation of
-every registered coder.  The property tests here drive random
-encode/decode/modify/delta round-trips through all three backends and
-compare outputs byte for byte.
+The kernel (``bytes.translate`` products, numpy XOR) must be bit-for-bit
+identical to the masked log/antilog path of :class:`GF256` on every
+operation: a property test drives random coefficient matrices and block
+lengths through both, and every coder is run on each implementation and
+compared byte for byte.
 """
 
+import functools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.erasure import make_code
-from repro.erasure.interface import ErasureCode
-from repro.erasure.kernels import (
-    BytesKernel,
-    Kernel,
-    MaskedKernel,
-    TableKernel,
-    available_kernels,
-    get_kernel,
-    register_kernel,
-)
-from repro.erasure import kernels as kernels_module
-from repro.errors import CodingError, ConfigurationError
+from repro.erasure import GF256, kernels, make_code
+from repro.errors import CodingError
 
-BACKENDS = ["masked", "table", "bytes"]
+#: Block lengths the property test draws from: tiny, odd, around a
+#: 64-byte word boundary, an odd page-plus and a full 64 KiB unit.
+WIDTHS = [1, 7, 63, 64, 4099, 65536]
 
 #: Every registered coder kind at a representative geometry.
 CODER_GEOMETRIES = [
@@ -46,180 +41,166 @@ def tolerated_erasures(kind: str, m: int, n: int) -> int:
     return (n - m) // 2 if kind == "lrc" else n - m
 
 
-class TestRegistry:
-    def test_available_kernels(self):
-        names = available_kernels()
-        for name in ("auto", "table", "masked", "bytes"):
-            assert name in names
+class Reference:
+    """The kernel's four operations on GF256's masked log/antilog path."""
 
-    def test_unknown_kernel_raises(self):
-        with pytest.raises(ConfigurationError):
-            get_kernel("simd")
+    @staticmethod
+    def matmul(coeffs, blocks):
+        matrix = np.asarray(coeffs, dtype=np.uint8)
+        if matrix.size == 0:
+            return []
+        data = np.stack([np.frombuffer(bytes(b), dtype=np.uint8) for b in blocks])
+        return [row.tobytes() for row in GF256.matmul(matrix, data)]
 
-    def test_instances_are_shared(self):
-        assert get_kernel("table") is get_kernel("table")
-        assert get_kernel("bytes") is get_kernel("bytes")
+    @staticmethod
+    def addmul(accum, scalar, data):
+        out = np.frombuffer(bytes(accum), dtype=np.uint8).copy()
+        GF256.addmul_bytes(out, int(scalar), np.frombuffer(bytes(data), dtype=np.uint8))
+        return out.tobytes()
 
-    def test_auto_prefers_table_with_numpy(self):
-        assert get_kernel("auto").name == "table"
+    @staticmethod
+    def xor(a, b):
+        return bytes(x ^ y for x, y in zip(a, b))
 
-    def test_auto_falls_back_to_bytes_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "np", None)
-        assert get_kernel("auto").name == "bytes"
+    @staticmethod
+    def xor_all(blocks):
+        return functools.reduce(Reference.xor, blocks)
 
-    def test_numpy_kernels_refuse_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(kernels_module, "np", None)
-        with pytest.raises(ConfigurationError):
-            TableKernel()
-        with pytest.raises(ConfigurationError):
-            MaskedKernel()
 
-    def test_register_custom_kernel(self):
-        class MyKernel(BytesKernel):
-            name = "my-kernel"
+coefficient = st.one_of(st.sampled_from([0, 1]), st.integers(0, 255))
 
-        register_kernel("my-kernel", MyKernel)
-        assert isinstance(get_kernel("my-kernel"), MyKernel)
-        assert "my-kernel" in available_kernels()
 
-    def test_register_rejects_non_kernel(self):
-        with pytest.raises(ConfigurationError):
-            register_kernel("bogus", dict)
-
-    def test_code_reports_resolved_backend(self):
-        assert make_code(3, 6, backend="auto").backend == "table"
-        assert make_code(3, 6, backend="bytes").backend == "bytes"
-
-    def test_code_rejects_unknown_backend(self):
-        with pytest.raises(ConfigurationError):
-            make_code(3, 6, backend="simd")
+@st.composite
+def products(draw):
+    """A coefficient matrix (maybe with an all-zero row) and its blocks."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(coefficient, min_size=cols, max_size=cols),
+                         max_size=4))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = [0] * cols
+    width = draw(st.sampled_from(WIDTHS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    blocks = [rng.randbytes(width) for _ in range(cols)]
+    return rows, blocks
 
 
 class TestKernelPrimitives:
-    """matmul/scale/addmul/xor agree across backends on random inputs."""
+    @settings(max_examples=60, deadline=None)
+    @given(products(), coefficient)
+    def test_kernel_matches_reference(self, product, scalar):
+        coeffs, blocks = product
+        assert kernels.matmul(coeffs, blocks) == Reference.matmul(coeffs, blocks)
+        a, b = blocks[0], blocks[-1]
+        assert kernels.addmul(a, scalar, b) == Reference.addmul(a, scalar, b)
+        assert kernels.xor(a, b) == Reference.xor(a, b)
+        assert kernels.xor_all(blocks) == Reference.xor_all(blocks)
 
-    def _random_blocks(self, rng, count, width):
-        return [
-            bytes(rng.randrange(256) for _ in range(width))
-            for _ in range(count)
-        ]
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matmul_matches_masked(self, backend):
+    # Fixed-seed companions of the property test: the same comparisons
+    # on deterministic inputs, on the table-driven kernel.
+    @pytest.mark.parametrize("kernel", [pytest.param(kernels, id="table")])
+    def test_matmul_matches_masked(self, kernel):
         rng = random.Random(7)
-        reference = get_kernel("masked")
-        kernel = get_kernel(backend)
         for _ in range(15):
             rows = rng.randrange(0, 5)
             cols = rng.randrange(1, 5)
             width = rng.choice([1, 7, 64, 257])
-            coeffs = [
-                [rng.randrange(256) for _ in range(cols)]
-                for _ in range(rows)
-            ]
-            blocks = self._random_blocks(rng, cols, width)
-            assert kernel.matmul(coeffs, blocks) == reference.matmul(
-                coeffs, blocks
-            )
+            coeffs = [[rng.randrange(256) for _ in range(cols)] for _ in range(rows)]
+            blocks = [rng.randbytes(width) for _ in range(cols)]
+            assert kernel.matmul(coeffs, blocks) == Reference.matmul(coeffs, blocks)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_scale_addmul_xor_match_masked(self, backend):
+    @pytest.mark.parametrize("kernel", [pytest.param(kernels, id="table")])
+    def test_scale_addmul_xor_match_masked(self, kernel):
         rng = random.Random(11)
-        reference = get_kernel("masked")
-        kernel = get_kernel(backend)
         for scalar in [0, 1, 2, 255] + [rng.randrange(256) for _ in range(8)]:
-            a, b = self._random_blocks(rng, 2, 113)
-            assert kernel.scale(scalar, a) == reference.scale(scalar, a)
-            assert kernel.addmul(a, scalar, b) == reference.addmul(
-                a, scalar, b
-            )
-            assert kernel.xor(a, b) == reference.xor(a, b)
-        blocks = self._random_blocks(rng, 5, 64)
-        assert kernel.xor_all(blocks) == reference.xor_all(blocks)
+            a, b = rng.randbytes(113), rng.randbytes(113)
+            zero = bytes(len(a))
+            assert kernel.addmul(zero, scalar, a) == Reference.addmul(zero, scalar, a)
+            assert kernel.addmul(a, scalar, b) == Reference.addmul(a, scalar, b)
+            assert kernel.xor(a, b) == Reference.xor(a, b)
+        blocks = [rng.randbytes(64) for _ in range(5)]
+        assert kernel.xor_all(blocks) == Reference.xor_all(blocks)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matmul_dimension_mismatch(self, backend):
-        kernel = get_kernel(backend)
+    def test_every_product_matches_the_field(self):
+        every_byte = bytes(range(256))
+        for scalar in range(256):
+            expected = bytes(GF256.mul(scalar, x) for x in every_byte)
+            assert kernels.matmul([[scalar]], [every_byte]) == [expected]
+            assert kernels.addmul(bytes(256), scalar, every_byte) == expected
+
+    def test_matmul_accepts_numpy_coefficients(self):
+        coeffs = np.array([[3, 7], [1, 0]], dtype=np.uint8)
+        blocks = [b"\x01\x02\x03", b"\x04\x05\x06"]
+        assert kernels.matmul(coeffs, blocks) == Reference.matmul(coeffs, blocks)
+
+    def test_matmul_dimension_mismatch(self):
         with pytest.raises(CodingError):
-            kernel.matmul([[1, 2]], [b"xy"])
+            kernels.matmul([[1, 2]], [b"xy"])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matmul_zero_rows(self, backend):
-        kernel = get_kernel(backend)
-        assert kernel.matmul([], [b"xy", b"ab"]) == []
+    def test_matmul_zero_rows(self):
+        assert kernels.matmul([], [b"xy", b"ab"]) == []
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matmul_zero_row_output_is_zero(self, backend):
-        kernel = get_kernel(backend)
-        assert kernel.matmul([[0, 0]], [b"xy", b"ab"]) == [b"\x00\x00"]
+    def test_matmul_zero_row_output_is_zero(self):
+        assert kernels.matmul([[0, 0]], [b"xy", b"ab"]) == [b"\x00\x00"]
+
+
+@pytest.fixture
+def reference_arithmetic(monkeypatch):
+    """Route every coder through :class:`Reference` instead of the kernel."""
+
+    def install():
+        for name in ("matmul", "addmul", "xor", "xor_all"):
+            monkeypatch.setattr(kernels, name, getattr(Reference, name))
+
+    return install
 
 
 class TestCrossBackendCoders:
-    """Every registered coder is byte-identical across all backends."""
+    """Every coder is byte-identical on the kernel and on the reference."""
 
     def _stripe(self, rng, m, width):
-        return [
-            bytes(rng.randrange(256) for _ in range(width))
-            for _ in range(m)
-        ]
+        return [rng.randbytes(width) for _ in range(m)]
 
     @pytest.mark.parametrize("kind,m,n", CODER_GEOMETRIES)
-    def test_encode_decode_identical(self, kind, m, n):
+    def test_encode_decode_identical(self, kind, m, n, reference_arithmetic):
         rng = random.Random(sum(kind.encode()))
-        codes = {b: make_code(m, n, kind, backend=b) for b in BACKENDS}
-        for trial in range(5):
-            width = rng.choice([1, 16, 129])
-            stripe = self._stripe(rng, m, width)
-            encodings = {
-                b: code.encode(stripe) for b, code in codes.items()
-            }
-            reference = encodings["masked"]
-            assert all(enc == reference for enc in encodings.values())
+        code = make_code(m, n, kind)
+        cases = []
+        for _ in range(5):
+            stripe = self._stripe(rng, m, rng.choice([1, 16, 129]))
+            encoded = code.encode(stripe)
             keep = n - tolerated_erasures(kind, m, n)
-            survivors = rng.sample(range(1, n + 1), keep)
-            blocks = {i: reference[i - 1] for i in survivors}
-            for backend, code in codes.items():
-                assert code.decode(blocks) == stripe, backend
+            survivors = {i: encoded[i - 1] for i in rng.sample(range(1, n + 1), keep)}
+            assert code.decode(survivors) == stripe
+            cases.append((stripe, encoded, survivors))
+        reference_arithmetic()
+        code = make_code(m, n, kind)
+        for stripe, encoded, survivors in cases:
+            assert code.encode(stripe) == encoded
+            assert code.decode(survivors) == stripe
 
     @pytest.mark.parametrize("kind,m,n", CODER_GEOMETRIES)
-    def test_modify_and_delta_identical(self, kind, m, n):
+    def test_modify_and_delta_identical(self, kind, m, n, reference_arithmetic):
         rng = random.Random(1 + sum(kind.encode()))
-        codes = {b: make_code(m, n, kind, backend=b) for b in BACKENDS}
+        code = make_code(m, n, kind)
         width = 33
         stripe = self._stripe(rng, m, width)
-        encoded = codes["masked"].encode(stripe)
-        new_block = bytes(rng.randrange(256) for _ in range(width))
+        encoded = code.encode(stripe)
+        new_block = rng.randbytes(width)
         index = rng.randrange(1, m + 1)
-        for j in range(m + 1, n + 1):
-            modified = {
-                b: code.modify(
+
+        def updates(code):
+            out = []
+            for j in range(m + 1, n + 1):
+                modified = code.modify(
                     index, j, stripe[index - 1], new_block, encoded[j - 1]
                 )
-                for b, code in codes.items()
-            }
-            reference = modified["masked"]
-            assert all(out == reference for out in modified.values())
-            deltas = {
-                b: code.encode_delta(index, stripe[index - 1], new_block)
-                for b, code in codes.items()
-                if hasattr(code, "encode_delta")
-            }
-            for backend, delta in deltas.items():
-                applied = codes[backend].apply_delta(
-                    index, j, delta, encoded[j - 1]
-                )
-                assert applied == reference, backend
+                out.append(modified)
+                if hasattr(code, "encode_delta"):
+                    delta = code.encode_delta(index, stripe[index - 1], new_block)
+                    applied = code.apply_delta(index, j, delta, encoded[j - 1])
+                    assert applied == modified
+            return out
 
-    def test_bytes_backend_works_without_numpy(self, monkeypatch):
-        """The pure-bytes coder path must never touch numpy."""
-        monkeypatch.setattr(kernels_module, "np", None)
-        kernel = get_kernel("bytes")
-        assert isinstance(kernel, BytesKernel)
-        blocks = [b"\x01\x02\x03", b"\x04\x05\x06"]
-        out = kernel.matmul([[3, 7], [1, 1]], blocks)
-        assert len(out) == 2 and len(out[0]) == 3
-
-    def test_kernel_base_class_contract(self):
-        assert issubclass(TableKernel, Kernel)
-        assert issubclass(MaskedKernel, Kernel)
-        assert issubclass(BytesKernel, Kernel)
+        on_kernel = updates(code)
+        reference_arithmetic()
+        assert updates(make_code(m, n, kind)) == on_kernel

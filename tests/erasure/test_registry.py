@@ -10,7 +10,6 @@ from repro.erasure import (
     make_code,
 )
 from repro.erasure.interface import ErasureCode
-from repro.erasure.registry import register_code
 from repro.errors import ConfigurationError
 
 
@@ -37,18 +36,6 @@ class TestMakeCode:
         names = available_codes()
         assert "auto" in names
         assert "reed-solomon" in names
-
-    def test_register_custom_code(self):
-        class MyCode(ReedSolomonCode):
-            pass
-
-        register_code("my-code", MyCode)
-        assert isinstance(make_code(2, 4, "my-code"), MyCode)
-        assert "my-code" in available_codes()
-
-    def test_register_rejects_non_code(self):
-        with pytest.raises(ConfigurationError):
-            register_code("bogus", dict)
 
 
 class TestInterfaceContract:

@@ -75,14 +75,14 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "Erasure-kernel throughput" in out
-        assert "table-vs-masked encode speedup" in out
+        assert "kernel-vs-reference encode speedup" in out
         payload = json.loads(json_file.read_text())
         assert payload["benchmark"] == "erasure"
-        assert {case["backend"] for case in payload["cases"]} == {
-            "masked", "table", "bytes"
+        assert {case["path"] for case in payload["cases"]} == {
+            "kernel", "reference"
         }
         assert "reed-solomon(2,4)x1024" in payload[
-            "speedup_table_over_masked"
+            "speedup_kernel_over_reference"
         ]
         assert "Erasure-kernel throughput" in out_file.read_text()
 
