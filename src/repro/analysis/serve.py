@@ -28,7 +28,9 @@ linearizability verdict land in the result as first-class axes, so
 
 Results land in ``benchmarks/out/BENCH_serve.json``: ops/s plus p50/p99
 operation latency in milliseconds (one transport time unit is one
-millisecond at the default ``time_scale``).
+millisecond).  The verdict carries ``ops_checked``, the completed
+operations the checker saw; a run in which none completed is never
+reported linearizable.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ from ..transport.chaos import (
     LinkChaos,
     PartitionWindow,
 )
+from ..types import OpStatus
 from ..verify.linearizability import check_strict_linearizability
+from .latency import percentile
 
 __all__ = ["run_serve", "build_chaos_policy"]
 
@@ -90,7 +94,7 @@ def build_chaos_policy(
 
     ``partition`` is ``(start_ms, end_ms, group)`` — the group is cut
     off from the rest of the cluster for that wall-clock window (one
-    transport unit is one millisecond at the default time scale).
+    transport unit is one millisecond).
     """
     return ChaosPolicy(
         seed=seed,
@@ -108,26 +112,23 @@ def build_chaos_policy(
     )
 
 
-def _percentile(sorted_values, q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * len(sorted_values)))
-    return sorted_values[index]
-
-
 def _client_payload(client: int, op_index: int, block_size: int) -> bytes:
     return (f"c{client}.{op_index}.".encode() * block_size)[:block_size]
 
 
-def _verify_linearizable(sessions: Sequence) -> Tuple[bool, int]:
+def _verify_linearizable(sessions: Sequence) -> Tuple[bool, int, int]:
     """Check every client's per-block history for strict linearizability.
 
     Clients own disjoint stripes, so each session's history is a
     complete per-register client view; the Appendix-B checker runs on
-    each block's projection.  Returns ``(all_ok, blocks_checked)``.
+    each block's projection.  Returns ``(all_ok, blocks_checked,
+    ops_checked)``, where ``ops_checked`` counts the OK records given
+    to the checker.  A history with no completed operation checks
+    nothing, so it is never reported as linearizable.
     """
     ok = True
     blocks_checked = 0
+    ops_checked = 0
     for session in sessions:
         per_block: dict = {}
         for record in session.history():
@@ -135,11 +136,13 @@ def _verify_linearizable(sessions: Sequence) -> Tuple[bool, int]:
                 continue  # full-stripe writes don't occur in this workload
             key = (record.register_id, record.block_index)
             per_block.setdefault(key, []).append(record)
+            if record.status is OpStatus.OK:
+                ops_checked += 1
         for records in per_block.values():
             blocks_checked += 1
             if not check_strict_linearizability(records).ok:
                 ok = False
-    return ok, blocks_checked
+    return ok and ops_checked > 0, blocks_checked, ops_checked
 
 
 async def _serve(
@@ -218,12 +221,12 @@ async def _serve(
                 session_ok = False
         if not session_ok:
             failed_sessions += 1
-    linearizable, blocks_checked = _verify_linearizable(sessions)
-    latencies.sort()
+    linearizable, blocks_checked, ops_checked = _verify_linearizable(sessions)
     chaos_axes = {
         "enabled": chaos_policy is not None,
         "linearizable": linearizable,
         "blocks_checked": blocks_checked,
+        "ops_checked": ops_checked,
         "transport_retries": transport_retries,
         "reconnects": inner.reconnects,
         "outbox_drops": sum(inner.outbox_drops.values()),
@@ -243,8 +246,8 @@ async def _serve(
         "max_inflight": max_inflight,
         "wall_seconds": round(wall, 3),
         "ops_per_sec": round(total_ops / wall, 1) if wall > 0 else 0.0,
-        "p50_ms": round(_percentile(latencies, 0.50), 3),
-        "p99_ms": round(_percentile(latencies, 0.99), 3),
+        "p50_ms": round(percentile(latencies, 50), 3) if latencies else 0.0,
+        "p99_ms": round(percentile(latencies, 99), 3) if latencies else 0.0,
         "failed_sessions": failed_sessions,
         "failed_ops": failed_ops,
         "chaos": chaos_axes,

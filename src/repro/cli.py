@@ -446,7 +446,8 @@ def _serve(args: argparse.Namespace) -> int:
             f"duplicated={chaos['duplicated']} "
             f"corrupted={chaos['corrupted']}; "
             f"linearizable={chaos['linearizable']} "
-            f"({chaos['blocks_checked']} blocks checked)"
+            f"({chaos['blocks_checked']} blocks, "
+            f"{chaos['ops_checked']} ops checked)"
         )
     print(f"JSON artifact written to {args.json_out}")
     ok = result["failed_sessions"] == 0 and chaos["linearizable"]

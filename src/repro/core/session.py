@@ -295,9 +295,11 @@ class VolumeSession:
         """Await every submitted operation (any transport).
 
         The async twin of :meth:`drain`: on an
-        :class:`~repro.transport.aio.AsyncioTransport` the pump runs in
-        wall time and this coroutine suspends without blocking the
-        event loop — thousands of sessions drain concurrently.  On a
+        :class:`~repro.transport.aio.AsyncioTransport` the kernel runs
+        from asyncio loop callbacks in wall time, and this coroutine
+        parks on a loop future that completes when the session's
+        in-flight work finishes — thousands of sessions drain
+        concurrently without polling.  On a
         :class:`~repro.transport.sim.SimTransport` awaiting simply
         drives virtual time, so substrate-agnostic load drivers work on
         both.

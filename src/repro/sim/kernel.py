@@ -399,12 +399,17 @@ class Environment:
     # -- scheduling internals ------------------------------------------
 
     def _schedule(self, event: Event, delay: float) -> None:
+        """Push ``event`` onto the heap ``delay`` units from now.
+
+        Every heap push goes through here, so a substrate that must
+        react to new work (the wall-clock transport arms its loop)
+        overrides this one method.
+        """
         heapq.heappush(self._queue, (self._now + delay, self._seq, event))
         self._seq += 1
 
     def _queue_event(self, event: Event) -> None:
-        heapq.heappush(self._queue, (self._now, self._seq, event))
-        self._seq += 1
+        self._schedule(event, 0)
 
     def _call_soon(self, func: Callable[[], None]) -> None:
         marker = Event(self)
@@ -414,8 +419,7 @@ class Environment:
             func()
 
         marker.callbacks = [runner]
-        heapq.heappush(self._queue, (self._now, self._seq, marker))
-        self._seq += 1
+        self._schedule(marker, 0)
 
     # -- main loop ------------------------------------------------------
 

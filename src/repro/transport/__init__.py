@@ -74,8 +74,8 @@ def make_transport(
         metrics: metric sink shared with the owning cluster.
         chaos_policy: when given, the built substrate is wrapped in a
             :class:`ChaosTransport` applying this seeded fault plan.
-        **kwargs: substrate-specific extras (e.g. ``time_scale``,
-            ``host``, ``base_port`` for the asyncio substrates).
+        **kwargs: substrate-specific extras (e.g. ``host``,
+            ``base_port`` for the asyncio substrates).
 
     Raises:
         ConfigurationError: unknown ``kind``, or sim-only options passed

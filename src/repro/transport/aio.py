@@ -2,10 +2,15 @@
 
 The protocol layer is written as sim-kernel generators, and that
 machinery is substrate-independent: an :class:`AsyncioTransport` embeds
-its own :class:`~repro.sim.kernel.Environment` and pumps it from an
-asyncio task in *wall* time.  The kernel's virtual clock is clamped to
-the scaled wall clock — an event armed "8 units out" fires roughly 8 ms
-later (at the default ``time_scale`` of 1000 units per second).
+its own :class:`~repro.sim.kernel.Environment`, and that kernel's heap
+is the only scheduler.  The asyncio loop holds at most one handle
+(``loop.call_at``), due when the heap head is; its callback runs the
+due events through ``env.step()`` and re-arms.  Every heap push stamps
+the event against the kernel clock raised toward the wall clock (one
+unit is one millisecond) and arms the loop, so nothing has to be woken
+by hand.  The kernel clock never passes the heap head, so under backlog
+it lags the wall clock and timers sort behind the deliveries already
+queued ahead of them.
 
 Two delivery modes:
 
@@ -38,11 +43,13 @@ The TCP path has a hardened connection lifecycle:
   :class:`~repro.transport.base.Transport` surface for health-aware
   routing.
 
-A died pump (a protocol invariant violation, or a bug) is surfaced
-*promptly*: ``send`` / ``set_timer`` / ``timer`` / ``spawn`` / ``stop``
+A died pump (a kernel step that raised: a protocol invariant
+violation, or a bug) is surfaced *promptly*: ``send``, every heap push
+(``set_timer`` / ``timer`` / ``spawn`` / ``Event.succeed``) and ``stop``
 raise :class:`~repro.errors.TerminalTransportError` once the pump is
-dead, and ``wait_for`` re-raises the original error — no caller is left
-hanging on a transport that will never make progress again.
+dead, and every coroutine parked in ``wait_for`` gets the original
+error — no caller is left hanging on a transport that will never make
+progress again.
 
 Timers use the same tolerances as the sim (retransmit 8 units, grace
 2 units → 8 ms / 2 ms of wall clock): generous on loopback, and the
@@ -56,9 +63,9 @@ raise: wall-clock time cannot be "run"; use ``await start()`` /
 
 from __future__ import annotations
 
+import asyncio
 import random
-import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..errors import (
     ConfigurationError,
@@ -66,20 +73,45 @@ from ..errors import (
     TerminalTransportError,
 )
 from ..types import ProcessId
-from ..sim.kernel import Environment, Event, Timeout
+from ..sim.kernel import Environment, Event
 from ..sim.network import Message
-from .base import TimerHandle, Transport
+from .base import Transport
 from . import wire
 
 __all__ = ["AsyncioTransport"]
 
 _MODES = ("loopback", "tcp")
-#: How long the pump dozes when the queue is empty and nothing woke it.
-_IDLE_POLL_S = 0.25
-#: Cooperative-yield granularity while draining a busy queue.
+#: Kernel time units per wall second: one unit is one millisecond, so
+#: protocol tolerances written in sim units become sane socket timings.
+_TIME_SCALE = 1000.0
+#: Seed of the reconnect backoff-jitter RNG (full jitter is
+#: load-shedding randomness, not protocol randomness, but a seed keeps
+#: even the chaos harness reproducible in aggregate).
+_RECONNECT_SEED = 0
+#: Kernel steps per loop callback before other asyncio work gets a turn.
 _STEPS_PER_YIELD = 200
 #: How long ``stop()`` waits for writer tasks to drain before cancelling.
 _DRAIN_TIMEOUT_S = 2.0
+
+
+class _ArmedEnvironment(Environment):
+    """The transport's kernel: every heap push arms the asyncio loop.
+
+    Fails fast once the pump is dead, stamps the event against the
+    clock raised toward the wall clock, and makes sure the loop holds a
+    handle due no later than the new heap head.
+    """
+
+    def __init__(self, transport: "AsyncioTransport") -> None:
+        super().__init__()
+        self._transport = transport
+
+    def _schedule(self, event: Event, delay: float) -> None:
+        transport = self._transport
+        transport._raise_if_pump_dead()
+        transport._advance_clock()
+        super()._schedule(event, delay)
+        transport._arm()
 
 
 class AsyncioTransport(Transport):
@@ -87,9 +119,6 @@ class AsyncioTransport(Transport):
 
     Args:
         mode: ``"loopback"`` (in-process, default) or ``"tcp"``.
-        time_scale: kernel time units per wall second.  The default of
-            1000 makes one unit equal one millisecond, so protocol
-            tolerances written in sim units become sane socket timings.
         host: bind/connect address for ``tcp`` mode.
         base_port: process ``pid`` listens on ``base_port + pid - 1``.
         metrics: optional metric sink (message/drop counting), shared
@@ -103,16 +132,11 @@ class AsyncioTransport(Transport):
             attempt and on draining one frame.
         down_after: consecutive failed connection attempts before a
             ``suspect`` peer is declared ``down``.
-        reconnect_seed: seed for the backoff-jitter RNG (full jitter is
-            load-shedding randomness, not protocol randomness, but a
-            seed keeps even the chaos harness reproducible in
-            aggregate).
     """
 
     def __init__(
         self,
         mode: str = "loopback",
-        time_scale: float = 1000.0,
         host: str = "127.0.0.1",
         base_port: int = 7420,
         metrics: Any = None,
@@ -122,14 +146,11 @@ class AsyncioTransport(Transport):
         connect_timeout_s: float = 2.0,
         write_timeout_s: float = 2.0,
         down_after: int = 3,
-        reconnect_seed: int = 0,
     ) -> None:
         if mode not in _MODES:
             raise ConfigurationError(
                 f"unknown asyncio transport mode {mode!r}; valid: {_MODES}"
             )
-        if time_scale <= 0:
-            raise ConfigurationError("time_scale must be positive")
         if outbox_limit < 1:
             raise ConfigurationError(
                 f"outbox_limit must be >= 1, got {outbox_limit}"
@@ -147,7 +168,6 @@ class AsyncioTransport(Transport):
                 f"down_after must be >= 1, got {down_after}"
             )
         self.mode = mode
-        self.time_scale = time_scale
         self.host = host
         self.base_port = base_port
         self.metrics = metrics
@@ -157,19 +177,25 @@ class AsyncioTransport(Transport):
         self.connect_timeout_s = connect_timeout_s
         self.write_timeout_s = write_timeout_s
         self.down_after = down_after
-        self.env = Environment()
+        self.env = _ArmedEnvironment(self)
         self._endpoints: Dict[ProcessId, Callable[[Any], None]] = {}
         self._down: Dict[ProcessId, bool] = {}
         self._running = False
-        self._origin: Optional[float] = None
-        self._pump_task = None
+        #: The hosting asyncio loop, and its time at kernel time zero.
+        self._loop = None
+        self._origin = 0.0
+        #: The one loop handle, due when the heap head is (or None).
+        self._handle = None
+        #: True while ``_run_due`` steps the kernel (it re-arms after).
+        self._stepping = False
         self._pump_error: Optional[BaseException] = None
-        self._wake = None  # asyncio.Event, created on the running loop
+        #: Futures of the coroutines parked in :meth:`wait_for`.
+        self._waiters: Set[Any] = set()
         self._servers: Dict[ProcessId, Any] = {}
         self._conn_writers: List[Any] = []
         self._outboxes: Dict[ProcessId, Any] = {}
         self._writer_tasks: Dict[ProcessId, Any] = {}
-        self._backoff_rng = random.Random(reconnect_seed)
+        self._backoff_rng = random.Random(_RECONNECT_SEED)
         #: Peer health machine state (tcp mode): pid -> up/suspect/down.
         self._peer_health: Dict[ProcessId, str] = {}
         self._peer_failures: Dict[ProcessId, int] = {}
@@ -183,17 +209,17 @@ class AsyncioTransport(Transport):
     # -- clock -------------------------------------------------------------
 
     def _wall_units(self) -> float:
-        if self._origin is None:
+        if self._loop is None:
             return self.env.now
-        return (time.monotonic() - self._origin) * self.time_scale
+        return (self._loop.time() - self._origin) * _TIME_SCALE
 
     def _advance_clock(self) -> None:
         """Raise the kernel clock toward the wall clock.
 
         Never past the queue head: ``step()`` treats a popped event with
         ``time < now`` as corruption, and events scheduled between
-        advances must land at or after the clock.  The pump executes any
-        due events before the clock moves over them.
+        advances must land at or after the clock.  Due events run
+        before the clock moves over them.
         """
         wall = self._wall_units()
         if self.env._queue:
@@ -208,11 +234,11 @@ class AsyncioTransport(Transport):
         events replay correctly, which makes it stall under backlog;
         reporting the wall clock here keeps timestamps and latency
         measurements honest.  Timers still arm relative to the kernel
-        clock, so under backlog they fire no *later* than requested —
-        an early retransmit is harmless (the replica reply cache
-        absorbs duplicates).
+        clock, so under backlog they are due no *later* than requested
+        and run behind the events already queued ahead of them — an
+        early retransmit is harmless (the replica reply cache absorbs
+        duplicates).
         """
-        self._advance_clock()
         wall = self._wall_units()
         return wall if wall > self.env._now else self.env.now
 
@@ -232,34 +258,49 @@ class AsyncioTransport(Transport):
                 f"transport pump died: {self._pump_error!r}"
             ) from self._pump_error
 
-    # -- scheduling overrides (stamp against the advanced clock) -----------
+    def _fail_waiters(self, error: BaseException) -> None:
+        for future in self._waiters:
+            if not future.done():
+                future.set_exception(error)
 
-    def set_timer(
-        self, delay: float, callback: Callable[[], None]
-    ) -> TimerHandle:
-        self._raise_if_pump_dead()
-        self._advance_clock()
-        handle = TimerHandle(callback)
-        timer = Timeout(self.env, delay)
-        timer._add_callback(handle._fire)
-        self._kick()
-        return handle
+    # -- the one scheduler: the heap head armed on the loop ----------------
 
-    def timer(self, delay: float, value: Any = None) -> Timeout:
-        self._raise_if_pump_dead()
-        self._advance_clock()
-        timeout = Timeout(self.env, delay, value)
-        self._kick()
-        return timeout
+    def _arm(self) -> None:
+        """Hold one loop handle, due no later than the heap head."""
+        queue = self.env._queue
+        if not self._running or self._stepping or not queue:
+            return
+        when = self._origin + queue[0][0] / _TIME_SCALE
+        if self._handle is not None:
+            if self._handle.when() <= when:
+                return
+            self._handle.cancel()
+        self._handle = self._loop.call_at(when, self._run_due)
 
-    def spawn(self, generator):
-        self._raise_if_pump_dead()
-        self._advance_clock()
-        return super().spawn(generator)
+    def _run_due(self) -> None:
+        """Loop callback: run up to :data:`_STEPS_PER_YIELD` due events.
 
-    def _kick(self) -> None:
-        if self._wake is not None:
-            self._wake.set()
+        Stepping goes through the ``env.step`` attribute on every call,
+        so a wrapper installed on the instance sees each step.  A step
+        that raises kills the pump: the error is kept for
+        :meth:`_raise_if_pump_dead` and handed to every parked waiter.
+        """
+        self._handle = None
+        env = self.env
+        queue = env._queue
+        self._stepping = True
+        try:
+            for _ in range(_STEPS_PER_YIELD):
+                if not queue or queue[0][0] > self._wall_units():
+                    break
+                env.step()
+        except Exception as exc:
+            self._pump_error = exc
+            self._fail_waiters(exc)
+            return
+        finally:
+            self._stepping = False
+        self._arm()
 
     # -- messaging ---------------------------------------------------------
 
@@ -317,10 +358,8 @@ class AsyncioTransport(Transport):
             self._enqueue_frame(dst, wire.encode_frame(src, dst, payload, size))
             return
         # Loopback (and pre-start tcp, e.g. setup writes): inject into
-        # the shared queue; the pump dispatches it next cycle.
-        self._advance_clock()
+        # the shared queue.
         self.env._call_soon(lambda: self._deliver(message))
-        self._kick()
 
     def _deliver(self, message: Message) -> None:
         # Down/registration state may have changed in flight.
@@ -341,13 +380,11 @@ class AsyncioTransport(Transport):
             self.metrics.count_drop()
 
     def _enqueue_frame(self, dst: ProcessId, frame: bytes) -> None:
-        import asyncio
-
         outbox = self._outboxes.get(dst)
         if outbox is None:
             outbox = asyncio.Queue(maxsize=self.outbox_limit)
             self._outboxes[dst] = outbox
-            self._writer_tasks[dst] = asyncio.get_event_loop().create_task(
+            self._writer_tasks[dst] = self._loop.create_task(
                 self._write_loop(dst, outbox)
             )
         try:
@@ -403,8 +440,6 @@ class AsyncioTransport(Transport):
         machine tracks every failure and recovery.  The loop exits only
         on the stop sentinel, transport shutdown, or cancellation.
         """
-        import asyncio
-
         attempt = 0
         while self._running:
             writer = None
@@ -457,9 +492,7 @@ class AsyncioTransport(Transport):
                     return
                 src, dst, payload, size = frame
                 message = Message(src, dst, payload, size)
-                self._advance_clock()
                 self.env._call_soon(lambda m=message: self._deliver(m))
-                self._kick()
         finally:
             try:
                 self._conn_writers.remove(writer)
@@ -476,8 +509,6 @@ class AsyncioTransport(Transport):
         with :meth:`stop_server` comes back here, and pending writers
         re-adopt it through their reconnect loops.
         """
-        import asyncio
-
         if self.mode != "tcp":
             raise ConfigurationError(
                 "per-brick servers exist only in tcp mode"
@@ -499,8 +530,6 @@ class AsyncioTransport(Transport):
         into the bounded outbox, writers reconnect with backoff, and
         the peer health machine walks up → suspect → down.
         """
-        import asyncio
-
         server = self._servers.pop(pid, None)
         if server is None:
             return
@@ -516,21 +545,15 @@ class AsyncioTransport(Transport):
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind sockets (tcp mode) and start the event pump.
+        """Bind sockets (tcp mode) and arm the kernel on this loop.
 
-        Must run on the loop that will host the workload; asyncio
-        primitives are created here because Python 3.9 binds them to
-        the loop current at construction.
+        Must run on the loop that will host the workload.  Events
+        queued before the start (e.g. synchronous setup writes, timers)
+        run from here on.
         """
-        import asyncio
-
         if self._running:
             return
-        self._wake = asyncio.Event()
         self._pump_error = None
-        # Align wall time with whatever virtual time already elapsed
-        # (e.g. synchronous setup writes before start()).
-        self._origin = time.monotonic() - self.env._now / self.time_scale
         if self.mode == "tcp":
             for pid in sorted(self._endpoints):
                 server = await asyncio.start_server(
@@ -539,32 +562,34 @@ class AsyncioTransport(Transport):
                     port=self.base_port + pid - 1,
                 )
                 self._servers[pid] = server
+        self._loop = asyncio.get_running_loop()
+        # Align wall time with whatever virtual time already elapsed.
+        self._origin = self._loop.time() - self.env._now / _TIME_SCALE
         self._running = True
-        self._pump_task = asyncio.get_event_loop().create_task(self._pump())
+        self._arm()
 
     async def stop(self) -> None:
-        """Stop the pump, drain writers, and close servers.
+        """Disarm the kernel, drain writers, and close servers.
 
-        Writer tasks get :data:`_DRAIN_TIMEOUT_S` to flush their
-        outboxes gracefully; stragglers (e.g. a writer stuck in backoff
-        against a dead peer) are cancelled and their queued frames
-        counted as drops.  If the pump died, the failure is re-raised
-        (as :class:`TerminalTransportError`) *after* cleanup, so a
-        caller that never sat in ``wait_for`` still hears about it.
+        Coroutines still parked in :meth:`wait_for` get a
+        :class:`TerminalTransportError`.  Writer tasks get
+        :data:`_DRAIN_TIMEOUT_S` to flush their outboxes gracefully;
+        stragglers (e.g. a writer stuck in backoff against a dead peer)
+        are cancelled and their queued frames counted as drops.  If the
+        pump died, the failure is re-raised (as
+        :class:`TerminalTransportError`) *after* cleanup, so a caller
+        that never sat in ``wait_for`` still hears about it.
         """
-        import asyncio
-
         if not self._running:
             self._raise_if_pump_dead()
             return
         self._running = False
-        self._kick()
-        if self._pump_task is not None:
-            try:
-                await self._pump_task
-            except asyncio.CancelledError:
-                pass
-            self._pump_task = None
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+        self._fail_waiters(
+            TerminalTransportError("transport stopped while waiting")
+        )
         for outbox in self._outboxes.values():
             try:
                 outbox.put_nowait(None)
@@ -597,64 +622,35 @@ class AsyncioTransport(Transport):
             server.close()
             await server.wait_closed()
         self._servers.clear()
-        self._wake = None
         self._raise_if_pump_dead()
-
-    async def _pump(self) -> None:
-        """Drive the kernel: execute due events, sleep until the next."""
-        import asyncio
-
-        steps = 0
-        try:
-            while self._running:
-                wall = self._wall_units()
-                queue = self.env._queue
-                if queue and queue[0][0] <= wall:
-                    self.env.step()
-                    steps += 1
-                    if steps % _STEPS_PER_YIELD == 0:
-                        await asyncio.sleep(0)
-                    continue
-                self._advance_clock()
-                if queue:
-                    delay_s = (queue[0][0] - wall) / self.time_scale
-                    delay_s = min(max(delay_s, 0.0), _IDLE_POLL_S)
-                else:
-                    delay_s = _IDLE_POLL_S
-                self._wake.clear()
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout=delay_s)
-                except asyncio.TimeoutError:
-                    pass
-        except BaseException as exc:  # surfaced by send/set_timer/stop/wait_for
-            self._pump_error = exc
 
     async def wait_for(self, event: Event) -> Any:
         """Await a kernel event from asyncio code.
 
         The transport-level twin of ``run_until_complete``: returns the
-        event's value, or raises its failure exception.  Also re-raises
-        any error that killed the pump (a protocol invariant violation
-        aborts the workload instead of hanging it).
+        event's value, or raises its failure exception.  The event's
+        callback completes a loop future, so the waiter wakes in the
+        loop iteration after the event fires.  Raises the error that
+        killed the pump (a protocol invariant violation aborts the
+        workload instead of hanging it), and
+        :class:`TerminalTransportError` if ``stop()`` runs first.
         """
-        import asyncio
-
         if not self._running:
             raise SimulationError("transport not started; await start() first")
-        fired = asyncio.Event()
-        event._add_callback(lambda _e: fired.set())
-        self._kick()
-        while not fired.is_set():
-            if self._pump_error is not None:
-                raise self._pump_error
-            if not self._running:
-                raise TerminalTransportError(
-                    "transport stopped while waiting"
-                )
-            try:
-                await asyncio.wait_for(fired.wait(), timeout=_IDLE_POLL_S)
-            except asyncio.TimeoutError:
-                pass
+        if self._pump_error is not None:
+            raise self._pump_error
+        future = self._loop.create_future()
+
+        def wake(_event: Event) -> None:
+            if not future.done():
+                future.set_result(None)
+
+        event._add_callback(wake)
+        self._waiters.add(future)
+        try:
+            await future
+        finally:
+            self._waiters.discard(future)
         if event._failed:
             event._defused = True
             value = event.value

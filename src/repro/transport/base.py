@@ -63,9 +63,10 @@ class Transport(ABC):
 
     Every transport embeds an :class:`~repro.sim.kernel.Environment`
     (exposed as ``env``): the generator/event machinery the protocol
-    coroutines run on is substrate-independent — only *when* events are
-    pumped differs.  ``SimTransport`` drives it in virtual time;
-    ``AsyncioTransport`` pumps it from an asyncio task in wall time.
+    coroutines run on is substrate-independent — only *when* events
+    run differs.  ``SimTransport`` drives it in virtual time;
+    ``AsyncioTransport`` arms an asyncio loop at the heap head's due
+    time on every push, so its events run in wall time.
     """
 
     #: The event substrate protocol coroutines run on.
@@ -130,7 +131,6 @@ class Transport(ABC):
         handle = TimerHandle(callback)
         timer = Timeout(self.env, delay)
         timer._add_callback(handle._fire)
-        self._kick()
         return handle
 
     def cancel_timer(self, handle: TimerHandle) -> None:
@@ -139,9 +139,7 @@ class Transport(ABC):
 
     def timer(self, delay: float, value: Any = None) -> Timeout:
         """A yieldable event triggering ``delay`` time units from now."""
-        timeout = Timeout(self.env, delay, value)
-        self._kick()
-        return timeout
+        return Timeout(self.env, delay, value)
 
     # -- coroutine primitives ---------------------------------------------
 
@@ -163,9 +161,7 @@ class Transport(ABC):
         Prefer :meth:`Endpoint.spawn` for coroutines whose fate should
         be tied to a process (interrupted when it crashes).
         """
-        process = self.env.process(generator)
-        self._kick()
-        return process
+        return self.env.process(generator)
 
     # -- synchronous driving ----------------------------------------------
 
@@ -181,11 +177,6 @@ class Transport(ABC):
         callers must use the async API instead.
         """
         return self.env.run_until_complete(process, limit)
-
-    # -- internals ---------------------------------------------------------
-
-    def _kick(self) -> None:
-        """Wake the pump after scheduling work (no-op in virtual time)."""
 
 
 class Endpoint:

@@ -293,8 +293,8 @@ class ChaosPolicy:
         :meth:`~repro.campaign.schedule.CampaignSchedule.link_windows`),
         so the same seeded failure pattern the deterministic campaign
         replays in virtual time can be applied to real sockets in wall
-        time — one time unit is one millisecond at the asyncio
-        transport's default ``time_scale``.  Endpoint-level events
+        time — one time unit is one millisecond on the asyncio
+        transport.  Endpoint-level events
         (crash/recover/corrupt/torn_write) are out of scope here; they
         remain the campaign applier's job.
         """
@@ -462,9 +462,6 @@ class ChaosTransport(Transport):
 
     def run_until_complete(self, process, limit: float = 1e12) -> Any:
         return self.inner.run_until_complete(process, limit)
-
-    def _kick(self) -> None:
-        self.inner._kick()
 
     # -- async lifecycle (wall-clock inners) -------------------------------
 

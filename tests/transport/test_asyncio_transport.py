@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -158,16 +159,75 @@ def test_timer_handles_cancel_before_start():
     ones never do."""
     from repro.transport.aio import AsyncioTransport
 
-    transport = AsyncioTransport(mode="loopback", time_scale=1000.0)
+    transport = AsyncioTransport(mode="loopback")
     fired = []
+    transport.set_timer(1.0, lambda: fired.append("kept"))
+    doomed = transport.set_timer(1.0, lambda: fired.append("cancelled"))
+    transport.cancel_timer(doomed)
 
     async def drive():
         await transport.start()
-        transport.set_timer(1.0, lambda: fired.append("kept"))
-        doomed = transport.set_timer(1.0, lambda: fired.append("cancelled"))
-        transport.cancel_timer(doomed)
         await asyncio.sleep(0.05)
         await transport.stop()
 
     asyncio.run(drive())
     assert fired == ["kept"]
+
+
+def test_idle_transport_wakes_waiter_without_polling():
+    """An event succeeded from a plain asyncio task after the transport
+    idled arms the loop itself: the parked wait_for wakes in well under
+    any poll period."""
+    from repro.transport.aio import AsyncioTransport
+
+    transport = AsyncioTransport(mode="loopback")
+
+    async def succeed(event) -> None:
+        event.succeed("ready")
+
+    async def drive():
+        await transport.start()
+        try:
+            event = transport.event()
+            waiter = asyncio.ensure_future(transport.wait_for(event))
+            await asyncio.sleep(0.3)
+            started = time.monotonic()
+            await asyncio.ensure_future(succeed(event))
+            value = await asyncio.wait_for(waiter, timeout=2.0)
+            return value, time.monotonic() - started
+        finally:
+            await transport.stop()
+
+    value, elapsed = asyncio.run(drive())
+    assert value == "ready"
+    assert elapsed < 0.1
+
+
+def test_parked_waiters_get_pump_death_and_stop_errors():
+    """A coroutine parked in wait_for gets the original exception when
+    the pump dies, and TerminalTransportError when stop() runs."""
+    from repro.errors import TerminalTransportError
+    from repro.transport.aio import AsyncioTransport
+
+    async def pump_dies():
+        transport = AsyncioTransport(mode="loopback")
+        await transport.start()
+        parked = asyncio.ensure_future(transport.wait_for(transport.event()))
+        await asyncio.sleep(0)
+        transport.set_timer(0.001, _boom)
+        with pytest.raises(RuntimeError, match="injected pump failure"):
+            await asyncio.wait_for(parked, timeout=2.0)
+        with pytest.raises(TerminalTransportError, match="pump died"):
+            await transport.stop()
+
+    async def stopped():
+        transport = AsyncioTransport(mode="loopback")
+        await transport.start()
+        parked = asyncio.ensure_future(transport.wait_for(transport.event()))
+        await asyncio.sleep(0)
+        await transport.stop()
+        with pytest.raises(TerminalTransportError, match="stopped"):
+            await asyncio.wait_for(parked, timeout=2.0)
+
+    asyncio.run(pump_dies())
+    asyncio.run(stopped())
